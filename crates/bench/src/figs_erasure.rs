@@ -229,9 +229,8 @@ fn p99(report: &LoadReport) -> f64 {
 pub fn figtcp_erasure(scale: Scale) -> Vec<Table> {
     let queries = tcp_queries(scale);
     let q_frag_cap = fragment_budget(RATE, K_DATA);
-    // One runtime per arm for the whole figure: loser drains can
-    // outlive their client, and the last runtime clone must not drop
-    // on one of its own workers.
+    // One runtime per arm for the whole figure, shared by every
+    // utilization point's client.
     let replica_rt = Runtime::new(4);
     let frag_rt = Runtime::new(4);
     let mut t = Table::new(

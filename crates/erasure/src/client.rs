@@ -1,47 +1,36 @@
-//! The k-of-n fragment-hedging client.
+//! The k-of-n fragment-hedging client: the fragment [`Wave`] over
+//! `hedge`'s [`RaceEngine`], plus the stripe write path.
 //!
 //! A striped read dispatches the `k` *data*-fragment requests as its
 //! primary wave (slot `s` lives on replica `(s + o) % n` for the key's
 //! rotation offset `o`, see [`crate::placement_offset`]) and completes
-//! as soon
-//! as the fragments in hand decode — all `k` data fragments, or `k−1`
-//! of them plus a parity clone. The reissue policy's `(d, q)` timer is
-//! armed over the *straggling* fragment exactly as the replica-hedging
-//! client arms it over a whole query: when a stage deadline passes
-//! with the stripe still undecodable (and the coin came up heads and
-//! the budget governor grants quota), the client dispatches fragment
-//! `k + r` — a parity clone on a replica not yet involved — instead of
-//! a second full copy. That is the erasure-coding trade at the heart
-//! of this subsystem: the hedge costs `1/k` of a full read, so at an
-//! equal *byte* budget the fragment client can afford `k×` the reissue
-//! probability of the replica client
+//! as soon as the fragments in hand decode — all `k` data fragments,
+//! or `k−1` of them plus a parity clone. The engine arms the reissue
+//! policy's `(d, q)` timer over the *straggling* fragment exactly as it
+//! does over a replica-hedged query: when a stage deadline passes with
+//! the stripe still undecodable (and the coin came up heads and the
+//! budget governor grants quota), the next reissue fetches parity slot
+//! `k + r` instead of a second full copy. That is the erasure-coding
+//! trade at the heart of this subsystem: the hedge costs `1/k` of a
+//! full read, so at an equal *byte* budget the fragment client can
+//! afford `k×` the reissue probability of the replica client
 //! ([`reissue_core::kofn::fragment_budget`]).
 //!
-//! Loser retraction reuses the serving stack's tied-request machinery:
-//! under [`CancellationStyle::Tied`] every data fragment registers a
-//! tie id and the *first* reissue names the straggler (the
-//! lowest-index still-outstanding data slot) as its peer, so whichever
-//! server dequeues first retracts the other server-to-server;
-//! client-driven `CANCEL` remains the fallback for everything the tie
-//! does not cover. Retractions that land in time book **censored**
-//! `(straggler, reissue)` pairs — the same two-sided race book the
-//! hedged client keeps, minus the online adapter.
+//! Loser retraction, tie registration (the first reissue names the
+//! lowest-index data slot still outstanding as its tied peer) and the
+//! censored `(straggler, reissue)` pair book are the engine's, shared
+//! with replica hedging — which is the `k = 1` case of this wave.
 
-use crate::codec::{self, decodable, CodecError};
-use hedge::rt::{race, select_all, Either, Runtime};
-use hedge::{next_tie_id, BudgetGovernor, CancelToken, CancellationStyle};
-use hedge::{InFlight, ReplicaSet, TieSpec, TransportError};
+use crate::codec::{self, decodable};
+use hedge::rt::Runtime;
+use hedge::{BudgetGovernor, CancelToken, CancellationStyle, HedgeConfig, HedgeStats};
+use hedge::{RaceEngine, ReplicaSet, Step, TransportError, Wave};
 use kvstore::{Command, Reply};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use reissue_core::policy::ReissuePolicy;
 
 use bytes::Bytes;
-use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Configuration for [`StripedClient`].
 #[derive(Clone, Debug)]
@@ -91,72 +80,16 @@ impl Default for StripedConfig {
     }
 }
 
-/// Counters published by [`StripedClient`] (monotonic).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StripedStats {
-    /// Striped reads completed (decoded, found absent, or failed).
-    pub queries: u64,
-    /// Fragment reissues actually dispatched.
-    pub reissues: u64,
-    /// Striped reads whose decode was unlocked by a reissued fragment
-    /// (the last fragment to arrive before decodability was a parity
-    /// reissue).
-    pub reissue_wins: u64,
-    /// Striped reads decoded with the parity equation standing in for
-    /// a missing data fragment.
-    pub decodes_with_parity: u64,
-    /// Fragment attempts whose retraction (tied or client-driven)
-    /// landed before execution.
-    pub cancelled_in_time: u64,
-    /// Hedged stripes that produced an exact `(straggler, reissue)`
-    /// pair (both sides completed).
-    pub pairs_exact: u64,
-    /// Hedged stripes that produced a censored pair (one side
-    /// retracted in time).
-    pub pairs_censored: u64,
-    /// Striped reads that failed outright (transport errors or an
-    /// undecodable stripe after every slot resolved).
-    pub errors: u64,
-}
-
-struct Counters {
-    queries: AtomicU64,
-    reissues: AtomicU64,
-    reissue_wins: AtomicU64,
-    decodes_with_parity: AtomicU64,
-    cancelled_in_time: AtomicU64,
-    pairs_exact: AtomicU64,
-    pairs_censored: AtomicU64,
-    errors: AtomicU64,
-}
-
-struct PolicyState {
-    policy: ReissuePolicy,
-    rng: SmallRng,
-}
-
-struct ScInner {
-    rt: Runtime,
-    replicas: ReplicaSet,
-    k: usize,
-    n: usize,
-    state: Mutex<PolicyState>,
-    counters: Counters,
-    latencies_ms: Mutex<reissue_core::metrics::LogHistogram>,
-    governor: Option<Arc<BudgetGovernor>>,
-    cancellation: CancellationStyle,
-}
-
 /// A fragment-hedging client over `n` replicas holding one stripe slot
 /// each. Cheap to clone (clones share connections and statistics).
 #[derive(Clone)]
 pub struct StripedClient {
-    inner: Arc<ScInner>,
+    engine: Arc<RaceEngine>,
+    k: usize,
 }
 
 impl StripedClient {
-    /// Connects to the `n` fragment replicas (`addrs[i]` serves slot
-    /// `i`) and starts a fresh runtime.
+    /// Connects to the `n` fragment replicas and starts a fresh runtime.
     pub fn connect(addrs: &[SocketAddr], cfg: StripedConfig) -> std::io::Result<StripedClient> {
         let rt = Runtime::new(cfg.workers);
         Self::connect_with_runtime(rt, addrs, cfg)
@@ -174,137 +107,92 @@ impl StripedClient {
                 format!("need at least k={} replicas, got {}", cfg.k, addrs.len()),
             ));
         }
-        let replicas = ReplicaSet::connect(addrs, cfg.pool_per_replica)?;
-        let governor = cfg
-            .governor
-            .clone()
-            .or_else(|| cfg.budget_cap.map(|cap| Arc::new(BudgetGovernor::new(cap))));
-        Ok(StripedClient {
-            inner: Arc::new(ScInner {
-                rt,
-                replicas,
-                k: cfg.k,
-                n: addrs.len(),
-                state: Mutex::new(PolicyState {
-                    policy: cfg.policy,
-                    rng: SmallRng::seed_from_u64(cfg.seed),
-                }),
-                counters: Counters {
-                    queries: AtomicU64::new(0),
-                    reissues: AtomicU64::new(0),
-                    reissue_wins: AtomicU64::new(0),
-                    decodes_with_parity: AtomicU64::new(0),
-                    cancelled_in_time: AtomicU64::new(0),
-                    pairs_exact: AtomicU64::new(0),
-                    pairs_censored: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                },
-                latencies_ms: Mutex::new(reissue_core::metrics::LogHistogram::latency_ms()),
-                governor,
-                cancellation: cfg.cancellation,
-            }),
-        })
+        let hedge_cfg = HedgeConfig {
+            policy: cfg.policy,
+            online: None,
+            budget_cap: cfg.budget_cap,
+            governor: cfg.governor,
+            pool_per_replica: cfg.pool_per_replica,
+            pipeline: 1,
+            workers: cfg.workers,
+            seed: cfg.seed,
+            cancellation: cfg.cancellation,
+        };
+        let engine = Arc::new(RaceEngine::connect(rt, addrs, hedge_cfg)?);
+        Ok(StripedClient { engine, k: cfg.k })
     }
 
     /// The executor, for spawning concurrent load generators.
     pub fn runtime(&self) -> &Runtime {
-        &self.inner.rt
+        self.engine.runtime()
     }
 
     /// Stripe geometry `(k, n)`.
     pub fn geometry(&self) -> (usize, usize) {
-        (self.inner.k, self.inner.n)
+        (self.k, self.engine.replicas().len())
     }
 
     /// The budget governor in force, if any.
     pub fn governor(&self) -> Option<&Arc<BudgetGovernor>> {
-        self.inner.governor.as_ref()
+        self.engine.governor()
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> StripedStats {
-        let c = &self.inner.counters;
-        StripedStats {
-            queries: c.queries.load(Ordering::Relaxed),
-            reissues: c.reissues.load(Ordering::Relaxed),
-            reissue_wins: c.reissue_wins.load(Ordering::Relaxed),
-            decodes_with_parity: c.decodes_with_parity.load(Ordering::Relaxed),
-            cancelled_in_time: c.cancelled_in_time.load(Ordering::Relaxed),
-            pairs_exact: c.pairs_exact.load(Ordering::Relaxed),
-            pairs_censored: c.pairs_censored.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-        }
+    pub fn stats(&self) -> HedgeStats {
+        self.engine.stats()
     }
 
     /// Quantile of end-to-end striped-read latencies (ms).
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.inner
-            .latencies_ms
-            .lock()
-            .unwrap()
-            .quantile(q.clamp(0.0, 1.0))
+        self.engine.latency_quantile(q)
     }
 
     /// Writes `value` as a `(k, n)` stripe: slot `s`'s fragment to the
     /// key's rotated replica `(s + offset) % n`. Blocking convenience
     /// for seeding; awaits every `FSET` acknowledgement.
     pub fn put_blocking(&self, key: &[u8], value: &[u8]) -> Result<(), TransportError> {
-        let inner = self.inner.clone();
-        let frags = codec::encode_stripe(value, inner.k, inner.n)
-            .map_err(|e| TransportError::Protocol(e.to_string()))?;
-        let key = Bytes::copy_from_slice(key);
-        let offset = crate::placement_offset(&key, inner.n);
-        self.inner.rt.block_on(async move {
-            for (slot, frag) in frags.into_iter().enumerate() {
-                let cmd = Command::FSet(key.clone(), slot as u32, frag);
-                let reply = inner
-                    .replicas
-                    .replica((slot + offset) % inner.n)
-                    .request_tied(cmd, CancelToken::new(), None)
-                    .await?;
-                if !matches!(reply, Reply::Ok) {
-                    return Err(TransportError::Protocol(format!(
-                        "FSET slot {slot} replied {reply:?}"
-                    )));
-                }
-            }
-            Ok(())
-        })
+        let cmd = Command::Set(Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+        match self.execute_blocking(cmd)? {
+            Reply::Ok => Ok(()),
+            other => Err(TransportError::Protocol(format!("SET replied {other:?}"))),
+        }
     }
 
     /// Executes one command. `GET` runs the k-of-n fragment race;
-    /// `SET` writes a stripe; everything else passes through to a
-    /// round-robin replica untouched. The returned future is
-    /// `'static`: spawn any number concurrently.
+    /// `SET` writes a stripe, failing unless every slot's `FSET` is
+    /// acknowledged; everything else passes through to a round-robin
+    /// replica untouched. The returned future is `'static`: spawn any
+    /// number concurrently.
     pub fn execute(
         &self,
         cmd: Command,
     ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
-        let inner = self.inner.clone();
+        let engine = self.engine.clone();
+        let k = self.k;
         async move {
+            let replicas = engine.replicas();
+            let n = replicas.len();
             match cmd {
-                Command::Get(key) => ScInner::striped_get(inner, key).await,
+                Command::Get(key) => engine.clone().run(FragmentWave::new(key, k, n)).await,
                 Command::Set(key, value) => {
-                    let frags = codec::encode_stripe(&value, inner.k, inner.n)
+                    let frags = codec::encode_stripe(&value, k, n)
                         .map_err(|e| TransportError::Protocol(e.to_string()))?;
-                    let offset = crate::placement_offset(&key, inner.n);
+                    let offset = crate::placement_offset(&key, n);
                     for (slot, frag) in frags.into_iter().enumerate() {
                         let cmd = Command::FSet(key.clone(), slot as u32, frag);
-                        inner
-                            .replicas
-                            .replica((slot + offset) % inner.n)
-                            .request_tied(cmd, CancelToken::new(), None)
-                            .await?;
+                        let replica = replicas.replica((slot + offset) % n);
+                        let reply = replica.request(cmd, CancelToken::new()).await?;
+                        if reply != Reply::Ok {
+                            return Err(TransportError::Protocol(format!(
+                                "FSET slot {slot} replied {reply:?}"
+                            )));
+                        }
                     }
                     Ok(Reply::Ok)
                 }
                 other => {
-                    let idx = inner.replicas.pick_primary() % inner.n;
-                    inner
-                        .replicas
-                        .replica(idx)
-                        .request_tied(other, CancelToken::new(), None)
-                        .await
+                    let replica = replicas.replica(replicas.pick_primary());
+                    replica.request(other, CancelToken::new()).await
                 }
             }
         }
@@ -313,7 +201,7 @@ impl StripedClient {
     /// Blocking convenience wrapper around [`StripedClient::execute`].
     pub fn execute_blocking(&self, cmd: Command) -> Result<Reply, TransportError> {
         let fut = self.execute(cmd);
-        self.inner.rt.block_on(fut)
+        self.engine.runtime().block_on(fut)
     }
 }
 
@@ -335,422 +223,98 @@ impl hedge::LoadClient for StripedClient {
     }
 }
 
-/// How one fragment attempt ended, for pair booking. The censoring
-/// *bound* (elapsed at retraction) is not retained — this client keeps
-/// pair counters, not an online adapter; wiring the bounds into
-/// `reissue_core::online` is future work.
-#[derive(Clone, Copy)]
-enum Fate {
-    Exact,
-    Censored,
-    Failed,
+/// One key's k-of-n read as a [`Wave`]: attempt `a` fetches stripe slot
+/// `a` — the `k` data slots as primaries, parity slots `k, k+1, …` as
+/// reissues until the stripe's `n` slots run out.
+struct FragmentWave {
+    key: Bytes,
+    k: usize,
+    offset: usize,
+    /// Fragment payloads by slot.
+    fragments: Vec<Option<Bytes>>,
+    /// Data slots that answered `Nil`.
+    nil_data: usize,
+    /// Set when the stripe decoded with a data slot missing.
+    used_parity: bool,
 }
 
-/// One in-flight fragment attempt.
-struct FragMeta {
-    token: CancelToken,
-    slot: usize,
-    /// `Some(order)` for reissues (0 = first dispatched).
-    reissue_order: Option<usize>,
-}
-
-impl ScInner {
-    fn governor_allows(&self) -> bool {
-        self.governor.as_ref().is_none_or(|g| g.allows())
+impl FragmentWave {
+    fn new(key: Bytes, k: usize, n: usize) -> Self {
+        FragmentWave {
+            offset: crate::placement_offset(&key, n),
+            key,
+            k,
+            fragments: vec![None; n],
+            nil_data: 0,
+            used_parity: false,
+        }
     }
 
-    /// The k-of-n fragment race (see module docs).
-    async fn striped_get(self: Arc<Self>, key: Bytes) -> Result<Reply, TransportError> {
-        let schedule: Vec<(usize, f64)> = {
-            let mut st = self.state.lock().unwrap();
-            let st = &mut *st;
-            st.policy.sample_schedule_indexed(&mut st.rng)
-        };
-        let started = Instant::now();
-        let tied = self.cancellation == CancellationStyle::Tied && !schedule.is_empty();
-        let offset = crate::placement_offset(&key, self.n);
+    /// Slot `slot`'s replica and its `FGET`.
+    fn fetch(&self, slot: usize) -> (usize, Command) {
+        let replica = (slot + self.offset) % self.fragments.len();
+        (replica, Command::FGet(self.key.clone(), slot as u32))
+    }
+}
 
-        // Primary wave: the k data fragments, slot s on the key's
-        // rotated replica (s + offset) % n. Under tied cancellation
-        // each registers a tie id so the first reissue can later name
-        // whichever of them is still straggling.
-        let mut futs: Vec<InFlight> = Vec::with_capacity(self.k);
-        let mut meta: Vec<FragMeta> = Vec::with_capacity(self.k);
-        let mut data_tie_ids: Vec<Option<u64>> = Vec::with_capacity(self.k);
-        for slot in 0..self.k {
-            let tie = tied.then(|| TieSpec {
-                id: next_tie_id(),
-                peer: None,
-            });
-            data_tie_ids.push(tie.as_ref().map(|t| t.id));
-            let token = CancelToken::new();
-            futs.push(
-                self.replicas
-                    .replica((slot + offset) % self.n)
-                    .request_tied(Command::FGet(key.clone(), slot as u32), token.clone(), tie),
-            );
-            meta.push(FragMeta {
-                token,
-                slot,
-                reissue_order: None,
-            });
-        }
-
-        let mut pending: VecDeque<(usize, f64, Instant)> = schedule
-            .iter()
-            .map(|&(stage, delay_ms)| {
-                (
-                    stage,
-                    delay_ms,
-                    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3),
-                )
-            })
+impl std::fmt::Debug for FragmentWave {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let present: Vec<usize> = (0..self.fragments.len())
+            .filter(|&s| self.fragments[s].is_some())
             .collect();
-
-        // Fragment payloads by slot, plus which slots resolved how.
-        let mut fragments: Vec<Option<Bytes>> = vec![None; self.n];
-        let mut nil_slots = 0usize;
-        let mut fates: Vec<(usize, Option<usize>, Fate)> = Vec::new();
-        let mut dispatched_reissues = 0usize;
-        let mut straggler_slot: Option<usize> = None;
-        let mut last_err: Option<TransportError> = None;
-        let mut winner_was_reissue = false;
-
-        let outcome = loop {
-            let present = (0..self.n).filter(|&s| fragments[s].is_some());
-            if decodable(self.k, present) {
-                break Ok(());
-            }
-            // Every data slot resolved Nil: the key has no stripe.
-            if nil_slots >= self.k {
-                break Err(None);
-            }
-            if futs.is_empty() {
-                // Nothing in flight and not yet decodable: rescue from
-                // the remaining schedule immediately, or give up.
-                let next_slot = self.k + dispatched_reissues;
-                let Some(&(_stage, _, _)) = pending.front() else {
-                    break Err(last_err.take());
-                };
-                if next_slot >= self.n || !self.governor_allows() {
-                    break Err(last_err.take());
-                }
-                pending.pop_front();
-                self.dispatch_fragment_reissue(
-                    &key,
-                    offset,
-                    next_slot,
-                    &mut dispatched_reissues,
-                    &mut straggler_slot,
-                    &data_tie_ids,
-                    &fragments,
-                    &fates,
-                    &mut futs,
-                    &mut meta,
-                );
-                continue;
-            }
-            let (i, out, rest) = if let Some(&(_stage, delay_ms, deadline)) = pending.front() {
-                match race(select_all(futs), self.rt.sleep_until(deadline)).await {
-                    Either::Left((sel_out, _timer)) => sel_out,
-                    Either::Right((sel, ())) => {
-                        futs = sel.into_futures();
-                        let next_slot = self.k + dispatched_reissues;
-                        if next_slot >= self.n {
-                            // Out of parity slots: nothing left to
-                            // reissue, drop the remaining schedule.
-                            pending.clear();
-                            continue;
-                        }
-                        if !self.governor_allows() {
-                            // Re-ask one stage-delay later (floored so
-                            // a d=0 stage cannot hot-spin), same as the
-                            // replica-hedging client.
-                            let interval = Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                            pending.front_mut().expect("stage present").2 =
-                                Instant::now() + interval;
-                            continue;
-                        }
-                        pending.pop_front();
-                        self.dispatch_fragment_reissue(
-                            &key,
-                            offset,
-                            next_slot,
-                            &mut dispatched_reissues,
-                            &mut straggler_slot,
-                            &data_tie_ids,
-                            &fragments,
-                            &fates,
-                            &mut futs,
-                            &mut meta,
-                        );
-                        continue;
-                    }
-                }
-            } else {
-                select_all(futs).await
-            };
-            let m = meta.remove(i);
-            futs = rest;
-            match out {
-                Ok(Reply::Str(payload)) => {
-                    fragments[m.slot] = Some(payload);
-                    winner_was_reissue = m.reissue_order.is_some();
-                    fates.push((m.slot, m.reissue_order, Fate::Exact));
-                }
-                Ok(Reply::Nil) => {
-                    // Absent fragment: not an error in transit, but it
-                    // can never contribute to the decode.
-                    if m.slot < self.k {
-                        nil_slots += 1;
-                    }
-                    fates.push((m.slot, m.reissue_order, Fate::Failed));
-                }
-                Ok(other) => {
-                    last_err = Some(TransportError::Protocol(format!(
-                        "FGET slot {} replied {other:?}",
-                        m.slot
-                    )));
-                    fates.push((m.slot, m.reissue_order, Fate::Failed));
-                }
-                Err(TransportError::Cancelled) => {
-                    // A tied peer retracted this fragment server-side.
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    fates.push((m.slot, m.reissue_order, Fate::Censored));
-                    last_err = Some(TransportError::Cancelled);
-                }
-                Err(e) => {
-                    last_err = Some(e.clone());
-                    fates.push((m.slot, m.reissue_order, Fate::Failed));
-                }
-            }
-        };
-
-        // Race resolved: retract every still-outstanding attempt and
-        // drain it asynchronously. Pair participants (the straggler
-        // data slot the first reissue named, and that first reissue)
-        // report into the two-sided book; everything else just counts
-        // its cancel.
-        for m in &meta {
-            m.token.cancel();
-        }
-        let raced = dispatched_reissues > 0;
-        let book = raced.then(|| {
-            Arc::new(Mutex::new(PairBook {
-                straggler: None,
-                reissue: None,
-            }))
-        });
-        if let Some(book) = &book {
-            for (slot, order, fate) in &fates {
-                if let Some(side) = pair_side(*slot, *order, straggler_slot) {
-                    self.report_pair_side(book, side, *fate);
-                }
-            }
-            // No straggler was ever named (every data slot had already
-            // resolved when the first reissue went out): close that
-            // side so the reissue's report is not orphaned.
-            if straggler_slot.is_none() {
-                self.report_pair_side(book, PairSide::Straggler, Fate::Failed);
-            }
-        }
-        for (fut, m) in futs.into_iter().zip(meta) {
-            let side = book
-                .as_ref()
-                .and_then(|_| pair_side(m.slot, m.reissue_order, straggler_slot));
-            match (side, &book) {
-                (Some(side), Some(book)) => {
-                    self.clone().drain_into_book(fut, book.clone(), side);
-                }
-                _ => self.clone().drain_counting(fut),
-            }
-        }
-
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = &self.governor {
-            g.note_query();
-        }
-
-        match outcome {
-            Ok(()) => {
-                let have_data = (0..self.k).filter(|&s| fragments[s].is_some()).count();
-                if have_data < self.k {
-                    self.counters
-                        .decodes_with_parity
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if winner_was_reissue {
-                    self.counters.reissue_wins.fetch_add(1, Ordering::Relaxed);
-                }
-                let present: Vec<&Bytes> = fragments.iter().flatten().collect();
-                match codec::decode_stripe(&present) {
-                    Ok(value) => {
-                        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                        self.latencies_ms.lock().unwrap().record(elapsed_ms);
-                        Ok(Reply::Str(value))
-                    }
-                    Err(e @ CodecError::Insufficient { .. }) => {
-                        // decodable() and decode_stripe() agree on the
-                        // slot arithmetic; reaching this arm means a
-                        // malformed stored fragment, not a logic race.
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Ok(Reply::Error(format!("ERASURE {e}")))
-                    }
-                    Err(e) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        Ok(Reply::Error(format!("ERASURE {e}")))
-                    }
-                }
-            }
-            // All data slots answered Nil: the key simply isn't there.
-            Err(None) if nil_slots >= self.k => Ok(Reply::Nil),
-            Err(maybe_err) => {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-                match maybe_err {
-                    Some(e) => Err(e),
-                    None => Ok(Reply::Error(
-                        "ERASURE undecodable: too few fragments".into(),
-                    )),
-                }
-            }
-        }
-    }
-
-    /// Dispatches parity slot `next_slot` as a fragment reissue. The
-    /// first reissue of a tied stripe names the straggler — the
-    /// lowest-index data slot still outstanding — as its tie peer, so
-    /// the servers race each other to retract the loser.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_fragment_reissue(
-        &self,
-        key: &Bytes,
-        offset: usize,
-        next_slot: usize,
-        dispatched_reissues: &mut usize,
-        straggler_slot: &mut Option<usize>,
-        data_tie_ids: &[Option<u64>],
-        fragments: &[Option<Bytes>],
-        fates: &[(usize, Option<usize>, Fate)],
-        futs: &mut Vec<InFlight>,
-        meta: &mut Vec<FragMeta>,
-    ) {
-        self.counters.reissues.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = &self.governor {
-            g.note_reissue();
-        }
-        let tie = if *dispatched_reissues == 0 {
-            let resolved: std::collections::HashSet<usize> =
-                fates.iter().map(|(slot, _, _)| *slot).collect();
-            let straggler = (0..self.k).find(|&s| fragments[s].is_none() && !resolved.contains(&s));
-            *straggler_slot = straggler;
-            straggler.and_then(|s| {
-                data_tie_ids[s].map(|peer_id| TieSpec {
-                    id: next_tie_id(),
-                    peer: Some((self.replicas.replica((s + offset) % self.n).addr(), peer_id)),
-                })
-            })
-        } else {
-            None
-        };
-        let token = CancelToken::new();
-        futs.push(
-            self.replicas
-                .replica((next_slot + offset) % self.n)
-                .request_tied(
-                    Command::FGet(key.clone(), next_slot as u32),
-                    token.clone(),
-                    tie,
-                ),
-        );
-        meta.push(FragMeta {
-            token,
-            slot: next_slot,
-            reissue_order: Some(*dispatched_reissues),
-        });
-        *dispatched_reissues += 1;
-    }
-
-    /// Drains a non-pair loser: completions are discarded, in-time
-    /// retractions counted.
-    fn drain_counting(self: Arc<Self>, fut: InFlight) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
-            if let Err(TransportError::Cancelled) = fut.await {
-                self.counters
-                    .cancelled_in_time
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Records one side of the `(straggler, first reissue)` pair;
-    /// whichever report fills the second slot emits the pair counters.
-    fn report_pair_side(&self, book: &Arc<Mutex<PairBook>>, side: PairSide, fate: Fate) {
-        let (s, r) = {
-            let mut b = book.lock().unwrap();
-            match side {
-                PairSide::Straggler => b.straggler = Some(fate),
-                PairSide::Reissue => b.reissue = Some(fate),
-            }
-            match (b.straggler, b.reissue) {
-                (Some(s), Some(r)) => (s, r),
-                _ => return,
-            }
-        };
-        match (s, r) {
-            (Fate::Exact, Fate::Exact) => {
-                self.counters.pairs_exact.fetch_add(1, Ordering::Relaxed);
-            }
-            // Both sides censored, or either side failed: nothing a
-            // joint observation could anchor on.
-            (Fate::Censored, Fate::Censored) => {}
-            (Fate::Censored, Fate::Exact) | (Fate::Exact, Fate::Censored) => {
-                self.counters.pairs_censored.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-
-    /// Drains a pair participant that was still outstanding when the
-    /// race resolved, reporting its fate to the book.
-    fn drain_into_book(self: Arc<Self>, fut: InFlight, book: Arc<Mutex<PairBook>>, side: PairSide) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
-            let fate = match fut.await {
-                Ok(_) => Fate::Exact,
-                Err(TransportError::Cancelled) => {
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    Fate::Censored
-                }
-                Err(_) => Fate::Failed,
-            };
-            self.report_pair_side(&book, side, fate);
-        });
+        write!(f, "FGET {:?} k={} present={present:?}", self.key, self.k)
     }
 }
 
-/// Which pair side an attempt belongs to, if any.
-#[derive(Clone, Copy)]
-enum PairSide {
-    Straggler,
-    Reissue,
-}
-
-fn pair_side(slot: usize, order: Option<usize>, straggler_slot: Option<usize>) -> Option<PairSide> {
-    match order {
-        Some(0) => Some(PairSide::Reissue),
-        Some(_) => None,
-        None if Some(slot) == straggler_slot => Some(PairSide::Straggler),
-        None => None,
+impl Wave for FragmentWave {
+    fn primaries(&self) -> usize {
+        self.k
     }
-}
 
-/// Two-sided `(straggler, first reissue)` booking; `None` = pending.
-struct PairBook {
-    straggler: Option<Fate>,
-    reissue: Option<Fate>,
+    fn primary(&mut self, slot: usize, _: &ReplicaSet) -> (usize, Command) {
+        self.fetch(slot)
+    }
+
+    fn reissue(&mut self, _: &ReplicaSet, busy: &[usize]) -> Option<(usize, Command)> {
+        let slot = busy.len();
+        (slot < self.fragments.len()).then(|| self.fetch(slot))
+    }
+
+    fn on_reply(&mut self, slot: usize, reply: Reply) -> Step {
+        match reply {
+            Reply::Str(payload) => self.fragments[slot] = Some(payload),
+            // Every data slot answered Nil: the key has no stripe.
+            Reply::Nil if slot < self.k => {
+                self.nil_data += 1;
+                if self.nil_data == self.k {
+                    return Step::Decided(Ok(Reply::Nil));
+                }
+                return Step::Pending;
+            }
+            Reply::Nil => return Step::Pending,
+            other => {
+                let e = format!("FGET slot {slot} replied {other:?}");
+                return Step::Unusable(TransportError::Protocol(e));
+            }
+        }
+        let present = (0..self.fragments.len()).filter(|&s| self.fragments[s].is_some());
+        if !decodable(self.k, present) {
+            return Step::Pending;
+        }
+        self.used_parity = self.fragments[..self.k].iter().any(Option::is_none);
+        let present: Vec<&Bytes> = self.fragments.iter().flatten().collect();
+        // `decodable` and `decode_stripe` agree on the slot arithmetic,
+        // so a failure here means a malformed stored fragment.
+        let value = codec::decode_stripe(&present)
+            .map_err(|e| TransportError::Protocol(format!("ERASURE {e}")));
+        Step::Decided(value.map(Reply::Str))
+    }
+
+    fn exhausted(&self) -> TransportError {
+        TransportError::Protocol("ERASURE undecodable: too few fragments".into())
+    }
+
+    fn used_parity(&self) -> bool {
+        self.used_parity
+    }
 }

@@ -25,13 +25,18 @@
 //! * [`codec`] — the XOR stripe codec: self-describing fragments,
 //!   any-decodable-subset reconstruction, parity clones for `n > k+1`
 //!   (dispatch redundancy only; Reed–Solomon multi-parity is the
-//!   recorded follow-up).
+//!   recorded follow-up, and with the race engine shared it is a
+//!   codec-only change).
 //! * [`backend`] — [`StripedBackend`], a `kvstore::Backend` wrapper
 //!   whose service cost is proportional to payload bytes, so fragment
 //!   reads genuinely occupy a server for `~1/k` of a full read's time.
-//! * [`client`] — [`StripedClient`], the k-of-n race: primary wave of
-//!   `k` fragment reads, policy-timed parity reissues, tied-request
-//!   retraction of the straggler, and censored-pair booking.
+//! * [`client`] — [`StripedClient`]: the stripe write path and the
+//!   fragment wave — `k` data-fragment primaries, parity reissues,
+//!   decode-at-any-k completion — run by `hedge`'s one race engine
+//!   ([`hedge::RaceEngine`]). Replica hedging is the same engine with
+//!   a one-primary wave, so the policy timer, budget governor, tied
+//!   retraction of the straggler, censored-pair booking and
+//!   [`hedge::HedgeStats`] counters are shared, not copied.
 //!
 //! Fragments travel the existing RESP wire as `FGET`/`FSET` commands
 //! and live in a reserved corner of the keyspace
@@ -57,7 +62,7 @@ pub mod client;
 pub mod codec;
 
 pub use backend::StripedBackend;
-pub use client::{StripedClient, StripedConfig, StripedStats};
+pub use client::{StripedClient, StripedConfig};
 pub use codec::{decodable, decode_stripe, encode_stripe, fragment_len, CodecError};
 
 /// Key-dependent placement rotation: slot `s` of `key` lives on

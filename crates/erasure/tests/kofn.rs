@@ -101,27 +101,37 @@ fn striped_put_get_roundtrip() {
 /// timer fires on the straggling fragment, the parity reissue (slot 2)
 /// completes the stripe, the straggler is retracted in time via the
 /// tied-request channel, and the censored pair is booked.
+///
+/// The `k = 1` input stalls data slot 0: a one-fragment stripe is a
+/// full copy, so this is replica-style hedging run as the `k = 1`
+/// fragment wave — the same parity win, tied retraction and censored
+/// pair.
 #[test]
 fn stalled_fragment_completes_via_parity_and_books_censored_pair() {
-    let k = 2;
+    for k in [2, 1] {
+        stall_last_data_slot(k);
+    }
+}
+
+fn stall_last_data_slot(k: usize) {
     let n = 4;
     let fast = TcpServerConfig::default();
-    // Data slot 1's server burns real wall-clock per cost unit, so the
-    // blocker below occupies it for ~0.5 s while everything it queues
-    // behind stays retractable. Placement is rotated per key, so first
-    // resolve which physical server holds slot 1 for this key.
+    // Data slot k − 1's server burns real wall-clock per cost unit, so
+    // the blocker below occupies it for ~0.5 s while everything it
+    // queues behind stays retractable. Placement is rotated per key, so
+    // first resolve which physical server holds that slot for this key.
     let slow = TcpServerConfig {
         nanos_per_op: 30_000,
         ..TcpServerConfig::default()
     };
-    let slow_idx = (1 + erasure::placement_offset(b"stripe:hot", n)) % n;
+    let slow_idx = (k - 1 + erasure::placement_offset(b"stripe:hot", n)) % n;
     let mut cfgs = vec![fast; n];
     cfgs[slow_idx] = slow;
     let value: Vec<u8> = (0..60_000u32).map(|i| (i % 249) as u8).collect();
     let servers = bind_striped_servers("stripe:hot", &value, k, &cfgs);
     let addrs: Vec<_> = servers.iter().map(|s| s.local_addr()).collect();
 
-    // Stall slot 1: a ~1 MiB value read costs ~16 385 units × 30 µs
+    // Stall the slot: a ~1 MiB value read costs ~16 385 units × 30 µs
     // ≈ 0.5 s of burn. Sent on its own connection; the reply is never
     // read (the socket just holds the server busy).
     servers[slow_idx].with_store(|s| {
@@ -190,6 +200,7 @@ fn stalled_fragment_completes_via_parity_and_books_censored_pair() {
     assert_eq!(
         servers[slow_idx].stats().commands,
         1,
-        "slot 1's FGET must be retracted, not served"
+        "slot {}'s FGET must be retracted, not served",
+        k - 1
     );
 }

@@ -1,53 +1,36 @@
-//! The hedged client: speculative execution driven by a
-//! [`ReissuePolicy`], with live (`OnlineAdapter`) re-optimization.
+//! The hedged client: replica hedging, driven by a [`ReissuePolicy`]
+//! with live (`OnlineAdapter`) re-optimization.
 //!
-//! Per query the client:
+//! [`HedgedClient`] is the replica [`Wave`] over the shared
+//! [`RaceEngine`] (see [`crate::engine`] for the race itself):
 //!
-//! 1. dispatches the **primary** to the next replica (round-robin);
-//! 2. samples the policy's full reissue schedule — every stage of a
-//!    `MultipleR` policy flips its probability coin *now*
-//!    (distributionally identical to flipping at fire time, see
-//!    [`ReissuePolicy::sample_schedule_indexed`]), yielding the
-//!    non-decreasing stage deadlines `(d₁,q₁), …, (dₙ,qₙ)` this query
-//!    will arm;
-//! 3. races every in-flight attempt against the next stage's deadline
-//!    timer ([`crate::rt::select_all`]); each time a timer fires (and
-//!    the budget governor grants quota) one more **reissue** is
-//!    dispatched, targeted at the healthiest replica not yet carrying
-//!    this query (per-replica latency/error EWMA — see
-//!    [`crate::transport::ReplicaHealth`]);
-//! 4. returns the first reply and cancels every loser via its
-//!    [`CancelToken`] — the transport pushes `CANCEL <seq>` to the
-//!    backend, which retracts the queued frame if it has not executed
-//!    (tied requests);
-//! 5. feeds observations into the [`OnlineAdapter`], which
-//!    re-optimizes `(d, q)` every `reoptimize_every` completions while
-//!    the system serves. Un-raced queries feed the primary stream;
-//!    **raced hedges feed joint `(primary, first-stage reissue)`
-//!    pairs** — exact when the loser completed, censored at the
-//!    loser's elapsed-at-retraction lower bound when the cancel landed
-//!    in time — so the adapter can run the §4.2 *correlated* optimizer
-//!    instead of the independence model (see `reissue_core::online`).
-//!    Later-stage losers feed the marginal reissue stream when they
-//!    complete.
+//! * the **primary** goes to the next replica (round-robin);
+//! * each **reissue** is a full copy on the healthiest replica not yet
+//!   carrying the query (per-replica latency/error EWMA — see
+//!   [`crate::transport::ReplicaHealth`]);
+//! * the first `Ok` reply wins.
+//!
+//! The engine arms the policy's full stage schedule, spends the
+//! [`BudgetGovernor`]'s quota, cancels losers (client `CANCEL`, or
+//! server-side under [`CancellationStyle::Tied`]) and feeds raced
+//! hedges to the [`OnlineAdapter`] as joint `(primary, first-stage
+//! reissue)` pairs — exact when the loser completed, censored at the
+//! loser's elapsed-at-retraction bound when the cancel landed in time.
+//! A query with an empty schedule skips the race and awaits its
+//! primary directly.
 
-use crate::rt::{race, select_all, Either, Runtime};
-use crate::sync::CancelToken;
-use crate::transport::{ReplicaSet, TieSpec, TransportError};
+use crate::engine::{RaceEngine, Step, Wave};
+use crate::rt::Runtime;
+use crate::transport::{ReplicaSet, TransportError};
 
 use kvstore::{Command, Reply};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use reissue_core::censored::Obs;
-use reissue_core::load::{LoadSignal, LoadSnapshot};
-use reissue_core::online::{OnlineAdapter, OnlineConfig, ReissueOutcome};
+use reissue_core::load::LoadSnapshot;
+use reissue_core::online::{OnlineAdapter, OnlineConfig};
 use reissue_core::policy::ReissuePolicy;
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Number of per-stage reissue counter buckets in [`HedgeStats`];
 /// stages at or past the last bucket share it. Eight stages is far
@@ -71,17 +54,6 @@ pub enum CancellationStyle {
     /// service time. Client-driven `CANCEL` stays armed as a fallback
     /// for attempts the tie never covered (later stages, lost frames).
     Tied,
-}
-
-/// Process-global tie id source. Replicas key tie state by id alone,
-/// so ids must be unique across every client in the process.
-static NEXT_TIE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Draws a fresh process-unique tie id. Public so other client layers
-/// (the erasure-coded fragment client) can register tied requests in
-/// the same id space without colliding with this module's hedges.
-pub fn next_tie_id() -> u64 {
-    NEXT_TIE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Configuration for [`HedgedClient`].
@@ -248,10 +220,12 @@ impl BudgetGovernor {
     }
 }
 
-/// Counters published by the client (monotonic).
+/// Counters published by a hedging client (monotonic). Replica and
+/// fragment reads share them; for a fragment read "query" is one
+/// striped read and an attempt is one fragment request.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HedgeStats {
-    /// Queries completed.
+    /// Queries completed (succeeded, found absent, or failed).
     pub queries: u64,
     /// Reissues actually dispatched across all stages (a timer fired,
     /// the stage's coin had come up heads, and the governor granted
@@ -260,13 +234,19 @@ pub struct HedgeStats {
     /// Dispatched reissues broken down by policy stage index (stages
     /// `>= MAX_STAGES - 1` share the last bucket). Sums to `reissues`.
     pub reissues_by_stage: [u64; MAX_STAGES],
-    /// Queries won by a reissue (any stage) rather than the primary.
+    /// Queries won by a reissue (any stage) rather than the primary:
+    /// for a fragment read, the reply that made the stripe decodable
+    /// came from a parity reissue.
     pub reissue_wins: u64,
+    /// Fragment reads decoded with the parity equation standing in for
+    /// a missing data fragment (always 0 for replica reads).
+    pub decodes_with_parity: u64,
     /// Loser requests whose cancellation reached the backend in time
     /// (retracted before execution).
     pub cancelled_in_time: u64,
     /// Raced hedges that produced an exact `(primary, reissue)` pair
-    /// for the adapter (both sides completed).
+    /// for the adapter (both sides completed). For a fragment read the
+    /// pair is `(straggling data fragment, first parity reissue)`.
     pub pairs_exact: u64,
     /// Raced hedges that produced a censored pair (one side was
     /// retracted in time; only its elapsed-at-cancel lower bound is
@@ -274,55 +254,16 @@ pub struct HedgeStats {
     pub pairs_censored: u64,
     /// Queries that failed outright — every attempt (primary and all
     /// dispatched reissues) resolved with a transport error and no
-    /// stage quota remained. A single attempt's failure never counts
+    /// stage quota remained, or a stripe could not be decoded. A single attempt's failure never counts
     /// here while another attempt can still save the query.
     pub errors: u64,
-}
-
-struct PolicyState {
-    policy: ReissuePolicy,
-    adapter: Option<OnlineAdapter>,
-    rng: SmallRng,
-}
-
-struct Counters {
-    queries: AtomicU64,
-    reissues: AtomicU64,
-    reissues_by_stage: [AtomicU64; MAX_STAGES],
-    reissue_wins: AtomicU64,
-    cancelled_in_time: AtomicU64,
-    pairs_exact: AtomicU64,
-    pairs_censored: AtomicU64,
-    errors: AtomicU64,
-    /// Reissue dispatches per replica index — the targeting
-    /// distribution the EWMA-health regression tests watch.
-    reissue_targets: Vec<AtomicU64>,
-}
-
-struct HcInner {
-    rt: Runtime,
-    replicas: ReplicaSet,
-    state: Mutex<PolicyState>,
-    counters: Counters,
-    /// Streaming latency recorder: the shared log-bucketed histogram
-    /// (1% relative quantile error, constant memory) instead of the
-    /// sorted-`Vec`-per-probe this client used to keep.
-    latencies_ms: Mutex<reissue_core::metrics::LogHistogram>,
-    governor: Option<Arc<BudgetGovernor>>,
-    cancellation: CancellationStyle,
-    /// Aggregate load estimator, present iff the online config opts
-    /// into utilization-aware damping ([`OnlineConfig::load`]). Fed on
-    /// every dispatch (primary and reissue) and every query
-    /// resolution; its estimate is pushed into the adapter at each
-    /// observation (see [`HcInner::observe`]).
-    load: Option<LoadSignal>,
 }
 
 /// A hedging client over a set of kvstore replicas. Cheap to clone
 /// (all clones share connections, policy state and statistics).
 #[derive(Clone)]
 pub struct HedgedClient {
-    inner: Arc<HcInner>,
+    inner: Arc<RaceEngine>,
 }
 
 impl HedgedClient {
@@ -341,52 +282,18 @@ impl HedgedClient {
         addrs: &[SocketAddr],
         cfg: HedgeConfig,
     ) -> std::io::Result<HedgedClient> {
-        let replicas = ReplicaSet::connect_pipelined(addrs, cfg.pool_per_replica, cfg.pipeline)?;
-        let governor = cfg.governor.clone().or_else(|| {
-            cfg.budget_cap
-                .or(cfg.online.map(|o| 1.25 * o.budget))
-                .map(|cap| Arc::new(BudgetGovernor::new(cap)))
-        });
-        let adapter = cfg.online.map(OnlineAdapter::new);
-        let load = cfg
-            .online
-            .and_then(|o| o.load.map(|_| LoadSignal::new(addrs.len().max(1))));
-        Ok(HedgedClient {
-            inner: Arc::new(HcInner {
-                rt,
-                replicas,
-                state: Mutex::new(PolicyState {
-                    policy: cfg.policy,
-                    adapter,
-                    rng: SmallRng::seed_from_u64(cfg.seed),
-                }),
-                counters: Counters {
-                    queries: AtomicU64::new(0),
-                    reissues: AtomicU64::new(0),
-                    reissues_by_stage: std::array::from_fn(|_| AtomicU64::new(0)),
-                    reissue_wins: AtomicU64::new(0),
-                    cancelled_in_time: AtomicU64::new(0),
-                    pairs_exact: AtomicU64::new(0),
-                    pairs_censored: AtomicU64::new(0),
-                    errors: AtomicU64::new(0),
-                    reissue_targets: (0..addrs.len()).map(|_| AtomicU64::new(0)).collect(),
-                },
-                latencies_ms: Mutex::new(reissue_core::metrics::LogHistogram::latency_ms()),
-                governor,
-                cancellation: cfg.cancellation,
-                load,
-            }),
-        })
+        let inner = Arc::new(RaceEngine::connect(rt, addrs, cfg)?);
+        Ok(HedgedClient { inner })
     }
 
     /// The executor, for spawning concurrent load generators.
     pub fn runtime(&self) -> &Runtime {
-        &self.inner.rt
+        self.inner.runtime()
     }
 
     /// The budget governor in force, if any (owned or shared).
     pub fn governor(&self) -> Option<&Arc<BudgetGovernor>> {
-        self.inner.governor.as_ref()
+        self.inner.governor()
     }
 
     /// The current policy (live view; moves as the adapter re-optimizes).
@@ -397,25 +304,12 @@ impl HedgedClient {
     /// The online adapter's current `(d, q)` record with its budget
     /// accounting, if online adaptation is enabled.
     pub fn online_policy(&self) -> Option<reissue_core::optimizer::OptimalSingleR> {
-        let st = self.inner.state.lock().unwrap();
-        st.adapter.as_ref().map(|a| a.policy())
+        self.with_adapter(|a| a.policy())
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> HedgeStats {
-        let c = &self.inner.counters;
-        HedgeStats {
-            queries: c.queries.load(Ordering::Relaxed),
-            reissues: c.reissues.load(Ordering::Relaxed),
-            reissues_by_stage: std::array::from_fn(|i| {
-                c.reissues_by_stage[i].load(Ordering::Relaxed)
-            }),
-            reissue_wins: c.reissue_wins.load(Ordering::Relaxed),
-            cancelled_in_time: c.cancelled_in_time.load(Ordering::Relaxed),
-            pairs_exact: c.pairs_exact.load(Ordering::Relaxed),
-            pairs_censored: c.pairs_censored.load(Ordering::Relaxed),
-            errors: c.errors.load(Ordering::Relaxed),
-        }
+        self.inner.stats()
     }
 
     /// Reissue dispatches per replica index — the live targeting
@@ -440,8 +334,7 @@ impl HedgedClient {
     /// the §4.2 correlated optimizer (`None` when online adaptation is
     /// off).
     pub fn online_correlated(&self) -> Option<bool> {
-        let st = self.inner.state.lock().unwrap();
-        st.adapter.as_ref().map(|a| a.using_correlated())
+        self.with_adapter(|a| a.using_correlated())
     }
 
     /// The client's current utilization estimate ρ̂ ∈ `[0, 1]`, when
@@ -461,28 +354,24 @@ impl HedgedClient {
     /// The adapter's current *effective* (load-damped) reissue budget,
     /// when online adaptation is on.
     pub fn online_effective_budget(&self) -> Option<f64> {
-        let st = self.inner.state.lock().unwrap();
-        st.adapter.as_ref().map(|a| a.effective_budget())
+        self.with_adapter(|a| a.effective_budget())
+    }
+
+    fn with_adapter<T>(&self, f: impl FnOnce(&OnlineAdapter) -> T) -> Option<T> {
+        self.inner.state.lock().unwrap().adapter.as_ref().map(f)
     }
 
     /// Number of completed queries slower than `threshold_ms`, at the
     /// latency histogram's bucket resolution.
     pub fn latencies_over(&self, threshold_ms: f64) -> usize {
-        self.inner
-            .latencies_ms
-            .lock()
-            .unwrap()
-            .count_over(threshold_ms) as usize
+        let hist = self.inner.latencies_ms.lock().unwrap();
+        hist.count_over(threshold_ms) as usize
     }
 
     /// Quantile of end-to-end query latencies (ms) over all
     /// completions, within the histogram's 1% relative error.
     pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        self.inner
-            .latencies_ms
-            .lock()
-            .unwrap()
-            .quantile(q.clamp(0.0, 1.0))
+        self.inner.latency_quantile(q)
     }
 
     /// A snapshot of the full latency histogram (log-bucketed; see
@@ -498,96 +387,7 @@ impl HedgedClient {
         &self,
         cmd: Command,
     ) -> impl std::future::Future<Output = Result<Reply, TransportError>> + Send + 'static {
-        let inner = self.inner.clone();
-        async move {
-            // Sample the primary and the full reissue schedule
-            // up-front (every stage coin is independent of completion
-            // status, so flipping now is distributionally identical);
-            // each stage's *target* is chosen at fire time, when
-            // health information is current.
-            let primary_idx = inner.replicas.pick_primary();
-            let schedule: Vec<(usize, f64)> = {
-                let mut st = inner.state.lock().unwrap();
-                let st = &mut *st;
-                st.policy.sample_schedule_indexed(&mut st.rng)
-            };
-
-            let started = Instant::now();
-            if let Some(load) = &inner.load {
-                load.query_start();
-                load.note_dispatch();
-            }
-            let primary_token = CancelToken::new();
-            // Tied cancellation: register the primary under a fresh
-            // tie id whenever a reissue *may* follow (non-empty
-            // schedule), so a first reissue can name it as the peer to
-            // retract at dequeue time.
-            let primary_tie = (inner.cancellation == CancellationStyle::Tied
-                && !schedule.is_empty())
-            .then(|| TieSpec {
-                id: next_tie_id(),
-                peer: None,
-            });
-            let primary = inner.replicas.replica(primary_idx).request_tied(
-                cmd.clone(),
-                primary_token.clone(),
-                primary_tie,
-            );
-
-            let outcome = if schedule.is_empty() {
-                primary.await.map(|r| (r, false))
-            } else {
-                inner
-                    .clone()
-                    .staged_race(
-                        &cmd,
-                        primary,
-                        primary_token,
-                        primary_idx,
-                        primary_tie,
-                        started,
-                        &schedule,
-                    )
-                    .await
-            };
-
-            let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-            // Lightweight tail tracing: HEDGE_DEBUG=1 reports every
-            // query slower than 10 ms and whether it had hedged.
-            if elapsed_ms > 10.0 && std::env::var_os("HEDGE_DEBUG").is_some() {
-                eprintln!("[hedge] slow {elapsed_ms:.2}ms armed={schedule:?} cmd={cmd:?}");
-            }
-            inner.counters.queries.fetch_add(1, Ordering::Relaxed);
-            if let Some(g) = &inner.governor {
-                g.note_query();
-            }
-            if let Some(load) = &inner.load {
-                load.query_end(outcome.is_ok().then_some(elapsed_ms));
-            }
-            match outcome {
-                Ok((reply, raced)) => {
-                    inner.latencies_ms.lock().unwrap().record(elapsed_ms);
-                    // Un-raced completions feed the primary stream
-                    // directly. Raced hedges are *not* observed here:
-                    // their joint (primary, reissue) outcome — exact or
-                    // censored — is assembled by the `RaceBook` once
-                    // both participants resolve, so the adapter sees
-                    // correlated pairs instead of two unpaired streams.
-                    // Retracted losers arrive as censored bounds rather
-                    // than being dropped, so the straggler mass that
-                    // cancellation used to hide from the optimizer now
-                    // reaches it through the Kaplan–Meier completion.
-                    if !raced {
-                        inner.observe(Observation::Primary(elapsed_ms));
-                    }
-                    Ok(reply)
-                }
-                Err(e) => {
-                    inner.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    Err(e)
-                }
-            }
-        }
+        self.inner.clone().run(ReplicaWave { cmd })
     }
 
     /// Blocking convenience wrapper around [`HedgedClient::execute`].
@@ -597,487 +397,27 @@ impl HedgedClient {
     }
 }
 
-enum Observation {
-    Primary(f64),
-    Reissue(f64),
-    /// A raced hedge's joint outcome; either side may be censored
-    /// (lower bound only) when the loser's retraction landed in time.
-    Pair {
-        primary: Obs,
-        reissue: Obs,
-    },
+/// Replica hedging as a [`Wave`]: every attempt carries the whole
+/// command, so any reply decides the query.
+#[derive(Debug)]
+struct ReplicaWave {
+    cmd: Command,
 }
 
-/// One speculative arm of a staged race.
-struct AttemptMeta {
-    token: CancelToken,
-    dispatched: Instant,
-    kind: AttemptKind,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AttemptKind {
-    Primary,
-    /// `dispatch_order` counts dispatched reissues (0 = first actually
-    /// sent), independent of policy stage index: coins and the
-    /// governor may skip stages, and the adapter's pair is always
-    /// (primary, *first dispatched* reissue).
-    Reissue {
-        dispatch_order: usize,
-    },
-}
-
-/// Fate of one pair participant, as it becomes known.
-#[derive(Clone, Copy)]
-enum SideState {
-    Pending,
-    Known(Obs),
-    /// Transport failure: no usable observation from this side.
-    Failed,
-}
-
-/// Assembles the adapter's joint `(primary, first reissue)`
-/// observation from sides that resolve at different times — the winner
-/// synchronously, each loser whenever its drain completes. Whichever
-/// report fills the second slot emits the observation.
-struct RaceBook {
-    primary: SideState,
-    reissue: SideState,
-}
-
-impl HcInner {
-    /// Whether the budget governor permits one more reissue right now
-    /// (see [`BudgetGovernor::allows`]; always true without one).
-    fn governor_allows(&self) -> bool {
-        self.governor.as_ref().is_none_or(|g| g.allows())
+impl Wave for ReplicaWave {
+    fn primaries(&self) -> usize {
+        1
     }
 
-    /// Feeds one latency observation to the adapter and refreshes the
-    /// live policy from it — the serving-time re-optimization loop.
-    fn observe(&self, obs: Observation) {
-        let mut st = self.state.lock().unwrap();
-        let Some(adapter) = st.adapter.as_mut() else {
-            return;
-        };
-        // Push the freshest load estimate first: with
-        // `OnlineConfig::load` set this rescales the live reissue
-        // probability immediately, so the policy tracks a load ramp
-        // between re-optimizations.
-        if let Some(load) = &self.load {
-            adapter.set_utilization(load.utilization());
-        }
-        match obs {
-            Observation::Primary(ms) => adapter.observe_primary(ms),
-            Observation::Reissue(ms) => adapter.observe_reissue(ms),
-            Observation::Pair { primary, reissue } => match (primary, reissue) {
-                (Obs::Exact(x), Obs::Exact(y)) => {
-                    adapter.observe_pair(x, ReissueOutcome::Completed(y));
-                }
-                (Obs::Exact(x), Obs::Censored(lb)) => {
-                    adapter.observe_pair(x, ReissueOutcome::Censored(lb));
-                }
-                (Obs::Censored(lb), Obs::Exact(y)) => {
-                    adapter.observe_pair_censored_primary(lb, y);
-                }
-                // Both sides censored (a later-stage reissue won the
-                // race, so the primary *and* the first reissue were
-                // both retracted): two lower bounds with no completed
-                // side to anchor them carry nothing the KM completion
-                // can use, so the pair is dropped (see `report_side`,
-                // which doesn't count it either).
-                (Obs::Censored(_), Obs::Censored(_)) => {}
-            },
-        }
-        let live = adapter.policy();
-        if live.probability > 0.0 && live.delay.is_finite() && live.delay >= 0.0 {
-            st.policy = ReissuePolicy::single_r(live.delay, live.probability.clamp(0.0, 1.0));
-        }
+    fn primary(&mut self, _: usize, replicas: &ReplicaSet) -> (usize, Command) {
+        (replicas.pick_primary(), self.cmd.clone())
     }
 
-    /// Races the primary against a full MultipleR schedule: each stage
-    /// deadline (measured from the primary dispatch) that fires while
-    /// the query is outstanding dispatches one more reissue — governor
-    /// permitting — and every attempt races every other through one
-    /// [`select_all`]. The first *successful* completion wins; all
-    /// still-pending losers are cancelled and drained asynchronously.
-    ///
-    /// An attempt that resolves with a transport error does **not**
-    /// decide the race — hedging must never fail a query another
-    /// in-flight (or still-armed) attempt could save, and a crashed
-    /// replica fails *fast*, which would otherwise make it the
-    /// likeliest "winner". The failed attempt just drops out; its
-    /// error surfaces only once every attempt and every remaining
-    /// stage is exhausted.
-    ///
-    /// Returns `(reply, raced)` where `raced` records whether any
-    /// reissue was actually dispatched.
-    #[allow(clippy::too_many_arguments)]
-    async fn staged_race(
-        self: Arc<Self>,
-        cmd: &Command,
-        primary: crate::transport::InFlight,
-        primary_token: CancelToken,
-        primary_idx: usize,
-        primary_tie: Option<TieSpec>,
-        started: Instant,
-        schedule: &[(usize, f64)],
-    ) -> Result<(Reply, bool), TransportError> {
-        let mut futs = vec![primary];
-        let mut meta = vec![AttemptMeta {
-            token: primary_token,
-            dispatched: started,
-            kind: AttemptKind::Primary,
-        }];
-        // (stage index, delay ms, deadline). FIFO: a stage denied by
-        // the governor re-asks later and blocks the stages behind it,
-        // so dispatch order always follows stage order.
-        let mut pending: VecDeque<(usize, f64, Instant)> = schedule
-            .iter()
-            .map(|&(stage, delay_ms)| {
-                (
-                    stage,
-                    delay_ms,
-                    started + Duration::from_secs_f64(delay_ms.max(0.0) / 1e3),
-                )
-            })
-            .collect();
-        let mut targets = vec![primary_idx];
-        let mut dispatched_reissues = 0usize;
-        // Attempts that resolved with a transport error mid-race; pair
-        // participants among them report `Failed` to the book below.
-        let mut failed_kinds: Vec<AttemptKind> = Vec::new();
-        // Attempts the *server* retracted mid-race — a tied peer's
-        // dequeue-time cancel resolves the loser with `Cancelled`
-        // before this client ever cancels it. Each carries its
-        // elapsed-at-retraction censoring bound for the pair book.
-        let mut cancelled_kinds: Vec<(AttemptKind, f64)> = Vec::new();
-        let mut last_err = TransportError::ConnectionClosed;
-
-        let (win_idx, reply, losers) = loop {
-            if futs.is_empty() {
-                // Every dispatched attempt has failed. Rescue from the
-                // remaining schedule *now* — waiting out a stage
-                // deadline only adds latency to a query that already
-                // has nothing in flight — or give up when the stages
-                // (or the governor's quota) run out.
-                let Some(&(stage, _, _)) = pending.front() else {
-                    return Err(last_err);
-                };
-                if !self.governor_allows() {
-                    return Err(last_err);
-                }
-                pending.pop_front();
-                let tie = self.first_reissue_tie(primary_tie, primary_idx, dispatched_reissues);
-                self.dispatch_stage(
-                    cmd,
-                    stage,
-                    tie,
-                    &mut targets,
-                    &mut dispatched_reissues,
-                    &mut futs,
-                    &mut meta,
-                );
-                continue;
-            }
-            let (i, out, rest) = if let Some(&(stage, delay_ms, deadline)) = pending.front() {
-                match race(select_all(futs), self.rt.sleep_until(deadline)).await {
-                    Either::Left((sel_out, _timer)) => sel_out,
-                    Either::Right((sel, ())) => {
-                        futs = sel.into_futures();
-                        if !self.governor_allows() {
-                            // No quota: re-ask one stage-delay later
-                            // (with a small floor so a d=0 stage cannot
-                            // hot-spin). A query still outstanding
-                            // after several delays is precisely the
-                            // straggler hedging exists for, and
-                            // re-asking gives it priority over the
-                            // steady trickle of marginal just-past-d
-                            // hedges that would otherwise consume the
-                            // quota first-come-first-served.
-                            let interval = Duration::from_secs_f64(delay_ms.max(0.1) / 1e3);
-                            pending.front_mut().expect("stage present").2 =
-                                Instant::now() + interval;
-                            continue;
-                        }
-                        pending.pop_front();
-                        let tie =
-                            self.first_reissue_tie(primary_tie, primary_idx, dispatched_reissues);
-                        self.dispatch_stage(
-                            cmd,
-                            stage,
-                            tie,
-                            &mut targets,
-                            &mut dispatched_reissues,
-                            &mut futs,
-                            &mut meta,
-                        );
-                        continue;
-                    }
-                }
-            } else {
-                // Schedule exhausted: plain race of what is in flight.
-                select_all(futs).await
-            };
-            match out {
-                Ok(reply) => break (i, reply, rest),
-                Err(TransportError::Cancelled) => {
-                    // A tied peer retracted this attempt server-side:
-                    // a clean in-time cancel, not a failure. Record
-                    // the censoring bound now (the attempt had been
-                    // outstanding exactly this long when the
-                    // retraction confirmed) and keep racing the rest.
-                    let m = meta.remove(i);
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    let ms = m.dispatched.elapsed().as_secs_f64() * 1e3;
-                    cancelled_kinds.push((m.kind, ms));
-                    last_err = TransportError::Cancelled;
-                    futs = rest;
-                }
-                Err(e) => {
-                    // Drop the failed attempt from the race and keep
-                    // the survivors (and the schedule) going.
-                    failed_kinds.push(meta.remove(i).kind);
-                    last_err = e;
-                    futs = rest;
-                }
-            }
-        };
-
-        let raced = dispatched_reissues > 0;
-        let winner = meta.remove(win_idx); // `losers` aligns with `meta` now
-        if matches!(winner.kind, AttemptKind::Reissue { .. }) {
-            self.counters.reissue_wins.fetch_add(1, Ordering::Relaxed);
-        }
-        for m in &meta {
-            m.token.cancel();
-        }
-
-        if raced {
-            let book = Arc::new(Mutex::new(RaceBook {
-                primary: SideState::Pending,
-                reissue: SideState::Pending,
-            }));
-            // The winner's side is known right now; losers report as
-            // their drains resolve and mid-race failures report
-            // `Failed` immediately. A winner that is a *later-stage*
-            // reissue is outside the pair — both pair sides then
-            // arrive via the other two routes.
-            let win_ms = winner.dispatched.elapsed().as_secs_f64() * 1e3;
-            match winner.kind {
-                AttemptKind::Primary => {
-                    self.report_side(&book, true, SideState::Known(Obs::Exact(win_ms)));
-                }
-                AttemptKind::Reissue { dispatch_order: 0 } => {
-                    self.report_side(&book, false, SideState::Known(Obs::Exact(win_ms)));
-                }
-                AttemptKind::Reissue { .. } => {}
-            }
-            for kind in failed_kinds {
-                match kind {
-                    AttemptKind::Primary => self.report_side(&book, true, SideState::Failed),
-                    AttemptKind::Reissue { dispatch_order: 0 } => {
-                        self.report_side(&book, false, SideState::Failed);
-                    }
-                    AttemptKind::Reissue { .. } => {}
-                }
-            }
-            for (kind, ms) in cancelled_kinds {
-                match kind {
-                    AttemptKind::Primary => {
-                        self.report_side(&book, true, SideState::Known(Obs::Censored(ms)));
-                    }
-                    AttemptKind::Reissue { dispatch_order: 0 } => {
-                        self.report_side(&book, false, SideState::Known(Obs::Censored(ms)));
-                    }
-                    AttemptKind::Reissue { .. } => {}
-                }
-            }
-            for (fut, m) in losers.into_iter().zip(meta) {
-                match m.kind {
-                    AttemptKind::Primary => {
-                        self.clone()
-                            .drain_into_book(fut, m.dispatched, book.clone(), true);
-                    }
-                    AttemptKind::Reissue { dispatch_order: 0 } => {
-                        self.clone()
-                            .drain_into_book(fut, m.dispatched, book.clone(), false);
-                    }
-                    AttemptKind::Reissue { .. } => {
-                        self.clone().drain_marginal(fut, m.dispatched);
-                    }
-                }
-            }
-        }
-        Ok((reply, raced))
+    fn reissue(&mut self, replicas: &ReplicaSet, busy: &[usize]) -> Option<(usize, Command)> {
+        Some((replicas.pick_reissue_excluding(busy), self.cmd.clone()))
     }
 
-    /// The tie to attach to the next reissue, if it is the *first*
-    /// dispatched reissue of a tied query: a fresh id naming the
-    /// primary's `(replica address, tie id)` as the peer to retract at
-    /// dequeue time. Later stages (and untied queries) get `None`.
-    fn first_reissue_tie(
-        &self,
-        primary_tie: Option<TieSpec>,
-        primary_idx: usize,
-        dispatched_reissues: usize,
-    ) -> Option<TieSpec> {
-        if dispatched_reissues > 0 {
-            return None;
-        }
-        primary_tie.map(|pt| TieSpec {
-            id: next_tie_id(),
-            peer: Some((self.replicas.replica(primary_idx).addr(), pt.id)),
-        })
-    }
-
-    /// Dispatches one stage's reissue into an ongoing race: counts it
-    /// (total, per-stage, per-target), targets the healthiest replica
-    /// not already carrying this query, and registers the attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_stage(
-        &self,
-        cmd: &Command,
-        stage: usize,
-        tie: Option<TieSpec>,
-        targets: &mut Vec<usize>,
-        dispatched_reissues: &mut usize,
-        futs: &mut Vec<crate::transport::InFlight>,
-        meta: &mut Vec<AttemptMeta>,
-    ) {
-        self.counters.reissues.fetch_add(1, Ordering::Relaxed);
-        if let Some(g) = &self.governor {
-            g.note_reissue();
-        }
-        // Every attempt put on the wire feeds the offered-rate
-        // estimate — hedging's own load contribution is part of the
-        // utilization it must react to.
-        if let Some(load) = &self.load {
-            load.note_dispatch();
-        }
-        self.counters.reissues_by_stage[stage.min(MAX_STAGES - 1)].fetch_add(1, Ordering::Relaxed);
-        let idx = self.replicas.pick_reissue_excluding(targets);
-        targets.push(idx);
-        if let Some(c) = self.counters.reissue_targets.get(idx) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        let token = CancelToken::new();
-        futs.push(
-            self.replicas
-                .replica(idx)
-                .request_tied(cmd.clone(), token.clone(), tie),
-        );
-        meta.push(AttemptMeta {
-            token,
-            dispatched: Instant::now(),
-            kind: AttemptKind::Reissue {
-                dispatch_order: *dispatched_reissues,
-            },
-        });
-        *dispatched_reissues += 1;
-    }
-
-    /// Asynchronously drains a pair participant that lost its race and
-    /// reports its fate to the [`RaceBook`]:
-    ///
-    /// * loser **completed** → exact observation (its response time is
-    ///   a valid sample of its stream, now paired with the other
-    ///   side's);
-    /// * loser **retracted in time** → censored: all we know is it had
-    ///   been outstanding for `dispatched.elapsed()` when the
-    ///   retraction confirmed, a lower bound on the response time it
-    ///   would have had;
-    /// * loser failed at the transport → no usable observation; the
-    ///   other side feeds its marginal stream alone.
-    fn drain_into_book(
-        self: Arc<Self>,
-        loser: crate::transport::InFlight,
-        dispatched: Instant,
-        book: Arc<Mutex<RaceBook>>,
-        is_primary: bool,
-    ) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
-            let ms = |d: Instant| d.elapsed().as_secs_f64() * 1e3;
-            let side = match loser.await {
-                Ok(_) => SideState::Known(Obs::Exact(ms(dispatched))),
-                Err(TransportError::Cancelled) => {
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                    SideState::Known(Obs::Censored(ms(dispatched)))
-                }
-                Err(_) => SideState::Failed,
-            };
-            self.report_side(&book, is_primary, side);
-        });
-    }
-
-    /// Asynchronously drains a later-stage loser (outside the pair):
-    /// completions feed the marginal reissue stream; retractions count
-    /// the cancel but yield no marginal sample (a censored bound is
-    /// only usable jointly, and the pair already carries this query's
-    /// joint outcome).
-    fn drain_marginal(self: Arc<Self>, loser: crate::transport::InFlight, dispatched: Instant) {
-        let rt = self.rt.clone();
-        rt.spawn(async move {
-            match loser.await {
-                Ok(_) => {
-                    let ms = dispatched.elapsed().as_secs_f64() * 1e3;
-                    self.observe(Observation::Reissue(ms));
-                }
-                Err(TransportError::Cancelled) => {
-                    self.counters
-                        .cancelled_in_time
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {}
-            }
-        });
-    }
-
-    /// Records one side of the raced pair; the report that completes
-    /// the book emits the joint observation (and the pair counters).
-    fn report_side(&self, book: &Mutex<RaceBook>, is_primary: bool, side: SideState) {
-        let (primary, reissue) = {
-            let mut b = book.lock().unwrap();
-            if is_primary {
-                b.primary = side;
-            } else {
-                b.reissue = side;
-            }
-            match (b.primary, b.reissue) {
-                (SideState::Pending, _) | (_, SideState::Pending) => return,
-                (p, r) => (p, r),
-            }
-        };
-        match (primary, reissue) {
-            (SideState::Known(p), SideState::Known(r)) => {
-                // Both censored (a later-stage reissue won the race)
-                // carries no completable information; the adapter
-                // drops it, so don't count it as a pair either.
-                match (p.is_censored(), r.is_censored()) {
-                    (false, false) => {
-                        self.counters.pairs_exact.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (true, true) => {}
-                    _ => {
-                        self.counters.pairs_censored.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                self.observe(Observation::Pair {
-                    primary: p,
-                    reissue: r,
-                });
-            }
-            (SideState::Known(Obs::Exact(p)), SideState::Failed) => {
-                self.observe(Observation::Primary(p));
-            }
-            (SideState::Failed, SideState::Known(Obs::Exact(r))) => {
-                self.observe(Observation::Reissue(r));
-            }
-            _ => {}
-        }
+    fn on_reply(&mut self, _: usize, reply: Reply) -> Step {
+        Step::Decided(Ok(reply))
     }
 }

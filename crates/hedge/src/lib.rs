@@ -21,17 +21,23 @@
 //!   connections per replica, each replica carrying a
 //!   [`transport::ReplicaHealth`] latency/error EWMA that drives
 //!   reissue targeting (and demotes sick replicas until they heal).
-//! * [`client`] — [`client::HedgedClient`]: dispatch the primary, arm
-//!   the policy's full stage schedule `(d₁,q₁), …, (dₙ,qₙ)`, race all
-//!   in-flight attempts, cancel every loser, and feed observations to
+//! * [`engine`] — [`engine::RaceEngine`], the one k-of-n race: a
+//!   [`engine::Wave`] names a read's primaries, what each reissue
+//!   fetches and when the read is decided; the engine arms the
+//!   policy's full stage schedule `(d₁,q₁), …, (dₙ,qₙ)`, races all
+//!   in-flight attempts under the budget governor, cancels every
+//!   loser, and feeds observations to
 //!   `reissue_core::online::OnlineAdapter` so the policy re-optimizes
-//!   while serving. Raced hedges are fed as joint `(primary, first
+//!   while serving. Raced reads are fed as joint `(straggler, first
 //!   reissue)` pairs — censored at the loser's elapsed-at-retraction
-//!   bound when the tied-request cancel landed in time — which lets
-//!   the adapter run the §4.2 *correlated* optimizer once
-//!   `OnlineConfig::min_pairs` pairs accumulate, instead of the
-//!   independence model that overvalues hedging the just-past-`d`
-//!   noise band.
+//!   bound when the cancel landed in time — which lets the adapter run
+//!   the §4.2 *correlated* optimizer once `OnlineConfig::min_pairs`
+//!   pairs accumulate, instead of the independence model that
+//!   overvalues hedging the just-past-`d` noise band.
+//! * [`client`] — [`client::HedgedClient`], replica hedging: the wave
+//!   with one primary, full-copy reissues to the healthiest free
+//!   replica, and first reply wins. (`erasure::StripedClient` is the
+//!   fragment wave over the same engine.)
 //! * [`harness`] — the scale-out experiment harness:
 //!   [`harness::Cluster`] (programmatic N-replica TCP clusters with
 //!   live per-replica sickness scripting) and an open-loop
@@ -82,6 +88,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod engine;
 pub mod harness;
 pub mod rt;
 pub mod server;
@@ -89,9 +96,9 @@ pub mod sync;
 pub mod transport;
 
 pub use client::{
-    next_tie_id, BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient,
-    MAX_STAGES,
+    BudgetGovernor, CancellationStyle, HedgeConfig, HedgeStats, HedgedClient, MAX_STAGES,
 };
+pub use engine::{RaceEngine, Step, Wave};
 pub use harness::{
     run_open_loop, Arrivals, Cluster, LoadClient, LoadConfig, LoadReport, SicknessEvent,
 };

@@ -305,8 +305,14 @@ impl Drop for ThreadSet {
             let _guard = shard.queue.lock().unwrap();
             shard.cv.notify_all();
         }
+        let me = std::thread::current().id();
         for h in self.handles.lock().unwrap().drain(..) {
-            let _ = h.join();
+            // The last handle may drop on a worker (a task that owned it
+            // finished there). That worker leaves its loop on `shutdown`
+            // by itself; joining its own thread would deadlock (EDEADLK).
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -877,6 +883,27 @@ mod tests {
             inner.await + 1
         });
         assert_eq!(rt.block_on(h), 11);
+    }
+
+    #[test]
+    fn last_handle_dropped_on_a_worker_shuts_down_cleanly() {
+        let rt = Runtime::new(2);
+        let last = rt.clone();
+        let (gate, opened) = oneshot::<()>();
+        let (tx, rx) = std::sync::mpsc::channel();
+        rt.spawn(async move {
+            let _ = opened.recv().await;
+            // The test thread has dropped its handle: this drop shuts
+            // the runtime down from one of its own workers.
+            drop(last);
+            let _ = tx.send(current_worker());
+        });
+        drop(rt);
+        let _ = gate.send(());
+        let worker = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("dropping the last handle on a worker panicked");
+        assert!(worker.is_some(), "the last handle dropped on a worker");
     }
 
     #[test]
